@@ -87,7 +87,7 @@ val cache_stats : cache -> cache_stats
     that went through it (rolled up at the root across worker
     overlays).  Unlike the [cache.hits]/[cache.misses] telemetry
     counters these are per-cache and survive [Telemetry.reset] — the
-    serve daemon uses them to report how warm each long-lived
+    serve daemon uses them to report how warm each registered
     per-(graph, library, scheduler) cache is. *)
 
 type ctx

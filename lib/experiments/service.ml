@@ -69,7 +69,11 @@ let outcome_of_fuzz (o : Fuzz.outcome) =
    cache key preimage ([Engine.fingerprint]) covers version codes and
    latency only, so sharing a cache across different inputs would be
    unsound — the registry key carries everything else that shapes a
-   realized design. *)
+   realized design.  The registry is bounded like the daemon's memory
+   tier: at [registry_capacity] caches the whole table is dropped, so a
+   stream of distinct inputs cannot grow it without limit. *)
+let registry_capacity = 64
+
 type t = {
   mutex : Mutex.t;
   caches : (string, Engine.cache) Hashtbl.t;
@@ -96,6 +100,8 @@ let engine_cache t key =
       match Hashtbl.find_opt t.caches key with
       | Some c -> c
       | None ->
+        if Hashtbl.length t.caches >= registry_capacity then
+          Hashtbl.reset t.caches;
         let c = Engine.create_cache () in
         Hashtbl.add t.caches key c;
         c)

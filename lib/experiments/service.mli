@@ -6,14 +6,15 @@
     ([Rchls_serve.Server]) calls the same executors from its batch
     scheduler — one implementation, two transports.
 
-    A {!t} is a registry of long-lived engine evaluation caches, one
-    per (graph fingerprint, library fingerprint, scheduler): every
+    A {!t} is a registry of engine evaluation caches, one per (graph
+    fingerprint, library fingerprint, scheduler): every
     synth/sweep/check job over the same inputs shares one sharded
-    cache, so repeated traffic in a daemon stays warm across requests
-    (PR4's incremental hot path, now persistent across jobs).  The
-    registry is mutex-protected and safe to share across domains;
-    results are independent of it — caches only memoize a
-    deterministic function. *)
+    cache, so repeated traffic in a daemon stays warm across requests.
+    The registry holds at most 64 caches; creating one more drops them
+    all (the memory tier's whole-table idiom), so a daemon fed endless
+    distinct inputs stays bounded in memory.  The registry is
+    mutex-protected and safe to share across domains; results are
+    independent of it — caches only memoize a deterministic function. *)
 
 module Request = Rchls_api.Request
 module Response = Rchls_api.Response

@@ -53,7 +53,7 @@ val run :
     [Rchls_util.Pool.num_domains ()], which honours [RCHLS_DOMAINS]);
     [~domains:1] forces a sequential sweep.  [cache] substitutes a
     caller-owned evaluation cache shared by every cell (the serve
-    daemon passes its long-lived per-(graph, library, scheduler)
+    daemon passes its registered per-(graph, library, scheduler)
     cache so repeated sweep traffic stays warm); results are
     independent of both. *)
 

@@ -74,7 +74,11 @@ let find t key =
 
 let mtime path = try (Unix.stat path).Unix.st_mtime with Unix.Unix_error _ -> 0.
 
+(* Past the bound, evict down to a low-water mark an eighth below it,
+   so the directory scan runs once per [max_entries / 8] fresh adds
+   rather than once per add.  Bounds under 8 have no headroom. *)
 let evict_locked t =
+  Telemetry.incr "diskcache.scans";
   let names = scan t.dir in
   t.count <- List.length names;
   if t.count > t.max_entries then begin
@@ -82,7 +86,7 @@ let evict_locked t =
       List.sort compare
         (List.map (fun n -> (mtime (Filename.concat t.dir n), n)) names)
     in
-    let excess = t.count - t.max_entries in
+    let excess = t.count - (t.max_entries - (t.max_entries / 8)) in
     List.iteri
       (fun i (_, n) ->
         if i < excess then begin
@@ -93,6 +97,22 @@ let evict_locked t =
       dated
   end
 
+(* Write through a tmp sibling and rename it over [path]; [true] iff
+   the rename happened, i.e. [path] now holds [value]. *)
+let write_atomically ~tmp path value =
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc value;
+        close_out oc);
+    Sys.rename tmp path;
+    true
+  with Sys_error _ ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    false
+
 let add t key value =
   let path = path_of t key in
   let tmp =
@@ -100,18 +120,13 @@ let add t key value =
       (Printf.sprintf ".tmp-%d-%s" (Unix.getpid ()) (key_name key))
   in
   with_lock t (fun () ->
-      let fresh = not (Sys.file_exists path) in
-      (try
-         let oc = open_out_bin tmp in
-         Fun.protect
-           ~finally:(fun () -> close_out_noerr oc)
-           (fun () -> output_string oc value);
-         Sys.rename tmp path
-       with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
-      if Sys.file_exists path then Telemetry.incr "diskcache.writes";
-      if fresh && Sys.file_exists path then begin
-        t.count <- t.count + 1;
-        if t.count > t.max_entries then evict_locked t
+      let existed = Sys.file_exists path in
+      if write_atomically ~tmp path value then begin
+        Telemetry.incr "diskcache.writes";
+        if not existed then begin
+          t.count <- t.count + 1;
+          if t.count > t.max_entries then evict_locked t
+        end
       end)
 
 let entries t = with_lock t (fun () -> List.length (scan t.dir))

@@ -9,10 +9,14 @@
     64-bit FNV-1a request fingerprints ([Rchls_api.Request.cache_key]);
     the store itself treats them as opaque.
 
-    Eviction is size-bounded: once the store holds more than
-    [max_entries] files, the oldest entries by modification time are
-    removed until the bound holds again (checked on [add], amortized —
-    a scan only runs when the entry estimate crosses the bound).
+    Eviction is size-bounded with a low-water mark: once a fresh
+    {!add} takes the entry estimate past [max_entries], one directory
+    scan recounts the files (resyncing with other processes sharing
+    the directory) and removes the oldest by modification time down to
+    [max_entries - max_entries / 8].  The next scan is then at least
+    [max_entries / 8] fresh adds away, so a full store costs one scan
+    per that many misses instead of one per miss.  Under 8 entries
+    there is no headroom: eviction stops at [max_entries] itself.
     Reads refresh an entry's mtime, making eviction approximately LRU.
 
     Thread safety: one {!t} may be shared by every worker thread and
@@ -22,7 +26,8 @@
 
     Observability: every operation bumps a {!Telemetry} counter —
     [diskcache.hits] / [diskcache.misses] on {!find},
-    [diskcache.writes] on a successful {!add} and
+    [diskcache.writes] on each {!add} whose rename landed,
+    [diskcache.scans] per eviction directory scan and
     [diskcache.evictions] per removed entry — so the daemon's [stats]
     answer and Prometheus scrape report disk-tier behavior without the
     store keeping any state of its own. *)
@@ -41,10 +46,10 @@ val find : t -> int64 -> string option
     concurrently evicted entry — a disk-tier miss is never an error). *)
 
 val add : t -> int64 -> string -> unit
-(** Persist [value] under [key], overwriting any previous entry, then
-    evict down to [max_entries] if the bound was crossed.  IO errors
-    are swallowed: the disk tier is an accelerator, losing a write
-    only costs a future recomputation. *)
+(** Persist [value] under [key], overwriting any previous entry; if
+    a new entry takes the estimate past [max_entries], evict down to
+    the low-water mark.  IO errors are swallowed: the disk tier is an
+    accelerator, losing a write only costs a future recomputation. *)
 
 val entries : t -> int
 (** Number of entries currently on disk (scans the directory). *)

@@ -7,7 +7,9 @@
      ["api"] versions are rejected, never defaulted.
    - Response-cache keys: form-independence (a benchmark by name and
      the same graph inline share a key) and parameter sensitivity.
-   - Diskcache: round-trip, overwrite, approximate-LRU eviction.
+   - Diskcache: round-trip, overwrite, approximate-LRU eviction down
+     to the low-water mark, write accounting.
+   - The engine-cache registry: bounded, and payload-neutral.
    - Socket tests: a live in-process daemon serving mixed concurrent
      jobs, with payloads asserted byte-identical across worker-domain
      counts, batch sizes and cache tiers, plus the backpressure and
@@ -536,6 +538,94 @@ let test_diskcache_survives_reopen () =
   Alcotest.(check (option string)) "found after reopen" (Some "persisted")
     (Diskcache.find d' 7L)
 
+let test_diskcache_low_water () =
+  let dir = temp_dir "rchls-dc" in
+  let d = check_ok "open" (Diskcache.open_dir ~max_entries:16 dir) in
+  let path k = Filename.concat dir (Diskcache.key_name k) in
+  for k = 1 to 16 do
+    Diskcache.add d (Int64.of_int k) "v";
+    (* strictly increasing mtimes, all older than any fresh write *)
+    Unix.utimes (path (Int64.of_int k)) 0. (1_000_000. +. float_of_int k)
+  done;
+  let scans () = Telemetry.counter "diskcache.scans" in
+  let before = scans () in
+  Diskcache.add d 17L "v";
+  Alcotest.(check int) "the 17th add scans once" 1 (scans () - before);
+  Alcotest.(check int) "evicted to the low-water mark" 14 (Diskcache.entries d);
+  let present k = Sys.file_exists (path (Int64.of_int k)) in
+  Alcotest.(check (list int)) "the three oldest removed" [ 1; 2; 3 ]
+    (List.filter (fun k -> not (present k)) (List.init 17 (fun i -> i + 1)));
+  Diskcache.add d 18L "v";
+  Diskcache.add d 19L "v";
+  Alcotest.(check int) "headroom: no scan for the next two adds" 1
+    (scans () - before);
+  Alcotest.(check int) "back at the bound" 16 (Diskcache.entries d);
+  let d' = check_ok "reopen" (Diskcache.open_dir ~max_entries:16 dir) in
+  Alcotest.(check int) "reopen sees the same entries" 16 (Diskcache.entries d');
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "key %d" k)
+        (if k <= 3 then None else Some "v")
+        (Diskcache.find d' (Int64.of_int k)))
+    (List.init 19 (fun i -> i + 1))
+
+let test_diskcache_write_accounting () =
+  let dir = temp_dir "rchls-dc" in
+  let d = check_ok "open" (Diskcache.open_dir dir) in
+  let writes () = Telemetry.counter "diskcache.writes" in
+  let before = writes () in
+  Diskcache.add d 1L "a";
+  Diskcache.add d 1L "b";
+  Alcotest.(check int) "overwrites are writes" 2 (writes () - before);
+  (* a non-empty directory where the entry should go: the rename fails *)
+  let blocked = Filename.concat dir (Diskcache.key_name 2L) in
+  Unix.mkdir blocked 0o700;
+  Out_channel.with_open_bin (Filename.concat blocked "x") (fun _ -> ());
+  Diskcache.add d 2L "c";
+  Alcotest.(check int) "a failed rename is not a write" 2 (writes () - before);
+  Alcotest.(check (option string)) "nothing served" None (Diskcache.find d 2L);
+  Alcotest.(check bool) "no tmp file left behind" true
+    (Array.for_all
+       (fun n -> not (String.starts_with ~prefix:".tmp-" n))
+       (Sys.readdir dir))
+
+(* --- the engine-cache registry ---------------------------------------- *)
+
+(* 72 distinct inline graphs through one service: the registry never
+   exceeds its 64-cache bound, and every payload matches a fresh
+   service's (the caches only memoize). *)
+let test_registry_bounded () =
+  let service = Service.create () in
+  let payload ?service job =
+    match Service.run_job ?service job with
+    | Ok p -> Json.to_string (Response.payload_to_json p)
+    | Error _ -> Alcotest.fail "synth failed"
+  in
+  for i = 1 to 72 do
+    let ops =
+      List.init (2 + (i mod 4)) (fun j -> if j mod 2 = 0 then "add" else "mul")
+    in
+    let text =
+      String.concat "\n"
+        ((Printf.sprintf "dfg g%d" i
+         :: List.mapi (fun j op -> Printf.sprintf "node n%d %s" j op) ops)
+        @ List.init (List.length ops - 1) (fun j ->
+              Printf.sprintf "edge n%d n%d" j (j + 1)))
+      ^ "\n"
+    in
+    let job = synth_job ~ld:20 ~ad:20 (Request.Inline text) in
+    Alcotest.(check string)
+      (Printf.sprintf "graph %d payload" i)
+      (payload ~service:(Service.create ()) job)
+      (payload ~service job);
+    let live = List.length (Service.engine_cache_stats service) in
+    Alcotest.(check bool)
+      (Printf.sprintf "graph %d: %d caches within the bound" i live)
+      true
+      (live >= 1 && live <= 64)
+  done
+
 (* --- the live daemon -------------------------------------------------- *)
 
 let with_server ?cache_dir ?(domains = 2) ?(batch_max = 4) ?(queue_max = 256) f =
@@ -968,7 +1058,13 @@ let () =
           Alcotest.test_case "evicts oldest" `Quick test_diskcache_evicts_oldest;
           Alcotest.test_case "survives reopen" `Quick
             test_diskcache_survives_reopen;
+          Alcotest.test_case "low-water eviction" `Quick
+            test_diskcache_low_water;
+          Alcotest.test_case "write accounting" `Quick
+            test_diskcache_write_accounting;
         ] );
+      ( "registry",
+        [ Alcotest.test_case "bounded" `Quick test_registry_bounded ] );
       ( "serve",
         [
           Alcotest.test_case "mixed workload" `Quick test_serve_mixed_workload;
