@@ -18,28 +18,6 @@ let pp_failure ppf = function
     Format.fprintf ppf "no solution: area bound unreachable (best %d)" best_achieved
   | Scheduling_error e -> Format.fprintf ppf "no solution: scheduling failed (%s)" e
 
-type trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      latency : int;
-    }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of {
-      nodes : string list;
-      from_version : string;
-      to_version : string;
-      area : int;
-    }
-  | Refinement_upgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      reliability : float;
-    }
-
 (* --- context ------------------------------------------------------- *)
 
 (* The evaluation cache is sharded and mutex-protected so one cache can
@@ -48,15 +26,13 @@ type trace_event =
    and across every cell of a design-space sweep.  Keys are the int64
    FNV-1a fingerprint of (interned version codes, latency); values are
    deterministic functions of the key's preimage, so concurrent
-   insert order never changes what a lookup returns.  An [overlay]
-   gives a worker a private write layer over a shared parent; the
-   worker's discoveries are published with [merge] afterwards. *)
+   insert order never changes what a lookup returns: parallel move
+   evaluators write their results straight into it. *)
 
 type cache = {
   shards : (int64, (Design.t, string) result) Hashtbl.t array;
   locks : Mutex.t array;
-  parent : cache option;
-  hits : int Atomic.t;  (* accounted at the root, across overlays *)
+  hits : int Atomic.t;
   misses : int Atomic.t;
 }
 
@@ -64,62 +40,37 @@ type cache_stats = { entries : int; hits : int; misses : int }
 
 let cache_shards = 16
 
-let make_cache parent =
+let create_cache () =
   {
     shards = Array.init cache_shards (fun _ -> Hashtbl.create 64);
     locks = Array.init cache_shards (fun _ -> Mutex.create ());
-    parent;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
   }
 
-let create_cache () = make_cache None
-let overlay_cache parent = make_cache (Some parent)
 let shard_of key = Int64.to_int key land (cache_shards - 1)
 
 let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let rec cache_find c key =
+let cache_find c key =
   let i = shard_of key in
-  match with_lock c.locks.(i) (fun () -> Hashtbl.find_opt c.shards.(i) key) with
-  | Some _ as r -> r
-  | None -> ( match c.parent with Some p -> cache_find p key | None -> None)
+  with_lock c.locks.(i) (fun () -> Hashtbl.find_opt c.shards.(i) key)
 
 let cache_add c key v =
   let i = shard_of key in
   with_lock c.locks.(i) (fun () ->
       if not (Hashtbl.mem c.shards.(i) key) then Hashtbl.add c.shards.(i) key v)
 
-(* Per-cache effectiveness accounting, rolled up at the root so a
-   cache shared across requests (the serve daemon's warm tier) reports
-   its cumulative hit rate regardless of which worker overlay did the
-   lookup.  Distinct from the global [cache.hits]/[cache.misses]
+(* Per-cache effectiveness accounting, so a cache shared across
+   requests (the serve daemon's warm tier) reports its cumulative hit
+   rate.  Distinct from the global [cache.hits]/[cache.misses]
    telemetry: these survive [Telemetry.reset] and are scoped to one
    cache object. *)
-let rec cache_root c = match c.parent with None -> c | Some p -> cache_root p
-
 let cache_stats c =
-  let root = cache_root c in
-  let entries =
-    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 root.shards
-  in
-  {
-    entries;
-    hits = Atomic.get root.hits;
-    misses = Atomic.get root.misses;
-  }
-
-let cache_merge ~into src =
-  Array.iteri
-    (fun i tbl ->
-      let entries =
-        with_lock src.locks.(i) (fun () ->
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-      in
-      List.iter (fun (k, v) -> cache_add into k v) entries)
-    src.shards
+  let entries = Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 c.shards in
+  { entries; hits = Atomic.get c.hits; misses = Atomic.get c.misses }
 
 type ctx = {
   graph : Dfg.t;
@@ -152,59 +103,22 @@ type ctx = {
          the identical result.  The design-space explorer fills whole
          grid intervals from one synthesis call on the strength of
          this. *)
-  trace : trace_event -> unit;
 }
 
 let delay_of ctx (nd : Dfg.node) = ctx.assignment.(nd.id).Resource.delay
 
-(* Forward every algorithm decision both to the caller's typed trace
-   callback and, as a structured instant event, to the Trace layer —
-   the CLI's [--trace] printer and [--trace-out] exports consume the
-   latter. *)
-let emit_trace ctx ev =
-  ctx.trace ev;
-  if Trace.enabled () then begin
-    let name, attrs =
-      match ev with
-      | Initial { latency } -> ("engine.initial", [ ("latency", Trace.Int latency) ])
-      | Latency_downgrade { node; from_version; to_version; latency } ->
-        ( "engine.latency_downgrade",
-          [
-            ("node", Trace.Str node);
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("latency", Trace.Int latency);
-          ] )
-      | Slack_exploited { latency; area } ->
-        ( "engine.slack_exploited",
-          [ ("latency", Trace.Int latency); ("area", Trace.Int area) ] )
-      | Area_downgrade { nodes; from_version; to_version; area } ->
-        ( "engine.area_downgrade",
-          [
-            ("nodes", Trace.Str (String.concat "," nodes));
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("area", Trace.Int area);
-          ] )
-      | Refinement_upgrade { node; from_version; to_version; reliability } ->
-        ( "engine.refine_upgrade",
-          [
-            ("node", Trace.Str node);
-            ("from", Trace.Str from_version);
-            ("to", Trace.Str to_version);
-            ("reliability", Trace.Float reliability);
-          ] )
-    in
-    Trace.instant name ~attrs
-  end
+(* Report one Figure-6 decision as an [engine.*] trace instant, the
+   only record of it ([--trace] and [--trace-out] render these).  The
+   attributes are built only when a sink is listening. *)
+let emit_trace name attrs = if Trace.enabled () then Trace.instant name ~attrs:(attrs ())
 
 let asap_of_preds ctx id =
   List.fold_left
     (fun acc p -> max acc (ctx.asap.(p) + ctx.assignment.(p).Resource.delay))
     0 (Dfg.preds ctx.graph id)
 
-let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1)
-    ?(trace = fun _ -> ()) g lib ~ld ~ad ~initial =
+let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1) g lib ~ld
+    ~ad ~initial =
   let assignment =
     Array.of_list (List.map (fun nd -> (initial nd : Resource.t)) (Dfg.nodes g))
   in
@@ -233,7 +147,6 @@ let create ?(scheduler = `Density) ?cache ?(use_cache = true) ?(domains = 1)
       design = None;
       ad_lo = 1;
       ad_hi = max_int;
-      trace;
     }
   in
   (* One forward scan in topological order settles every ASAP. *)
@@ -318,11 +231,11 @@ let realize ctx ~latency =
     match cache_find ctx.cache key with
     | Some r ->
       Telemetry.incr "cache.hits";
-      Atomic.incr (cache_root ctx.cache).hits;
+      Atomic.incr ctx.cache.hits;
       r
     | None ->
       Telemetry.incr "cache.misses";
-      Atomic.incr (cache_root ctx.cache).misses;
+      Atomic.incr ctx.cache.misses;
       let r = Trace.with_span "engine.design_eval" compute in
       cache_add ctx.cache key r;
       r
@@ -332,20 +245,18 @@ let realize_current ctx = realize ctx ~latency:ctx.schedule_latency
 
 (* A private copy of the mutable context state for one worker domain:
    moves are applied and realized on the clone without disturbing the
-   main context, and evaluations cache into a private overlay whose
-   entries are published with [cache_merge] when the worker is done.
+   main context, and evaluations go straight into the shared cache.
    Evaluation is a deterministic function of the (shared, frozen
    during a parallel round) base state, so a result computed on a
-   clone is the result the sequential scan would have computed. *)
+   clone is the result the sequential scan would have computed.
+   Workers report no decisions: only the main context commits moves. *)
 let clone_for_worker ctx =
   {
     ctx with
     assignment = Array.copy ctx.assignment;
     codes = Array.copy ctx.codes;
     asap = Array.copy ctx.asap;
-    cache = overlay_cache ctx.cache;
     domains = 1;
-    trace = (fun _ -> ());
   }
 
 (* --- shared stage helpers ------------------------------------------ *)
@@ -416,6 +327,9 @@ let subset_ids ?(exhaustive = false) ctx ~from () =
         |> List.map (fun (nd : Dfg.node) -> nd.id))
       sizes
 
+let node_names ctx ids =
+  String.concat "," (List.map (fun id -> (Dfg.node ctx.graph id).name) ids)
+
 let the_design ctx =
   match ctx.design with
   | Some d -> d
@@ -450,7 +364,8 @@ let initial_alloc =
     run =
       (fun ctx ->
         Telemetry.incr "engine.runs";
-        emit_trace ctx (Initial { latency = current_latency ctx });
+        emit_trace "engine.initial" (fun () ->
+            [ ("latency", Trace.Int (current_latency ctx)) ]);
         Ok ());
   }
 
@@ -491,14 +406,13 @@ let meet_latency =
             progress := true;
             Telemetry.incr "downgrade.steps";
             let l = current_latency ctx in
-            emit_trace ctx
-              (Latency_downgrade
-                 {
-                   node = nd.name;
-                   from_version = old.Resource.id;
-                   to_version = faster.Resource.id;
-                   latency = l;
-                 });
+            emit_trace "engine.latency_downgrade" (fun () ->
+                [
+                  ("node", Trace.Str nd.name);
+                  ("from", Trace.Str old.Resource.id);
+                  ("to", Trace.Str faster.Resource.id);
+                  ("latency", Trace.Int l);
+                ]);
             if l <= ctx.ld then latency_ok := true
         done;
         if not !latency_ok then
@@ -527,8 +441,11 @@ let exploit_slack =
             | Error e -> failwith ("Reliability_centric: reschedule failed: " ^ e)
             | Ok d ->
               ctx.design <- Some d;
-              emit_trace ctx
-                (Slack_exploited { latency = ctx.schedule_latency; area = Design.area d })
+              emit_trace "engine.slack_exploited" (fun () ->
+                  [
+                    ("latency", Trace.Int ctx.schedule_latency);
+                    ("area", Trace.Int (Design.area d));
+                  ])
           done;
           Ok ());
   }
@@ -575,15 +492,13 @@ let meet_area =
                   | Some d ->
                     ctx.design <- Some d;
                     Telemetry.incr "downgrade.steps";
-                    emit_trace ctx
-                      (Area_downgrade
-                         {
-                           nodes =
-                             List.map (fun id -> (Dfg.node ctx.graph id).name) ids;
-                           from_version = old.Resource.id;
-                           to_version = smaller.Resource.id;
-                           area = Design.area d;
-                         });
+                    emit_trace "engine.area_downgrade" (fun () ->
+                        [
+                          ("nodes", Trace.Str (node_names ctx ids));
+                          ("from", Trace.Str old.Resource.id);
+                          ("to", Trace.Str smaller.Resource.id);
+                          ("area", Trace.Int (Design.area d));
+                        ]);
                     true))
               nodes_by_area
         done;
@@ -641,14 +556,13 @@ let recovery =
               | Some d ->
                 ctx.design <- Some d;
                 Telemetry.incr "downgrade.steps";
-                emit_trace ctx
-                  (Area_downgrade
-                     {
-                       nodes = List.map (fun id -> (Dfg.node ctx.graph id).name) ids;
-                       from_version = "mixed";
-                       to_version = v.Resource.id;
-                       area = Design.area d;
-                     });
+                emit_trace "engine.area_downgrade" (fun () ->
+                    [
+                      ("nodes", Trace.Str (node_names ctx ids));
+                      ("from", Trace.Str "mixed");
+                      ("to", Trace.Str v.Resource.id);
+                      ("area", Trace.Int (Design.area d));
+                    ]);
                 true
             in
             made_progress :=
@@ -657,15 +571,11 @@ let recovery =
                 let probe (ids, v) =
                   let w = clone_for_worker ctx in
                   List.iter (fun id -> set_version w id v) ids;
-                  let ok =
-                    current_latency w <= w.ld
-                    &&
-                    match realize_current w with
-                    | Ok d -> Design.area d < area_before
-                    | Error _ -> false
-                  in
-                  cache_merge ~into:ctx.cache w.cache;
-                  ok
+                  current_latency w <= w.ld
+                  &&
+                  match realize_current w with
+                  | Ok d -> Design.area d < area_before
+                  | Error _ -> false
                 in
                 let rec take k = function
                   | x :: rest when k > 0 ->
@@ -785,7 +695,6 @@ let refine =
                         | None -> None
                         | Some d -> Some (ids, v, Design.reliability d)
                       in
-                      cache_merge ~into:ctx.cache w.cache;
                       (r, (w.ad_lo, w.ad_hi)))
                     candidates
                 in
@@ -818,16 +727,13 @@ let refine =
                 ctx.design <- Some d;
                 improved := true;
                 Telemetry.incr "refine.upgrades";
-                emit_trace ctx
-                  (Refinement_upgrade
-                     {
-                       node =
-                         String.concat ","
-                           (List.map (fun id -> (Dfg.node ctx.graph id).name) ids);
-                       from_version;
-                       to_version = v.Resource.id;
-                       reliability = Design.reliability d;
-                     }))
+                emit_trace "engine.refine_upgrade" (fun () ->
+                    [
+                      ("node", Trace.Str (node_names ctx ids));
+                      ("from", Trace.Str from_version);
+                      ("to", Trace.Str v.Resource.id);
+                      ("reliability", Trace.Float (Design.reliability d));
+                    ]))
           done
         end;
         Ok ());
@@ -888,8 +794,7 @@ let check_classes g lib =
     (Dfg.count_by_class g)
 
 let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
-    ?(trace = fun _ -> ()) ?(use_cache = true) ?cache ?domains ?certificate g lib
-    ~ld ~ad =
+    ?(use_cache = true) ?cache ?domains ?certificate g lib ~ld ~ad =
   if ld <= 0 then invalid_arg "Reliability_centric.synthesize: non-positive latency bound";
   if ad <= 0 then invalid_arg "Reliability_centric.synthesize: non-positive area bound";
   check_classes g lib;
@@ -926,7 +831,7 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
     Trace.with_span "engine.pipeline" ~attrs:[ ("direction", Trace.Str direction) ]
     @@ fun () ->
     let ctx =
-      create ~scheduler ~cache ~use_cache ~domains ~trace g lib ~ld ~ad ~initial
+      create ~scheduler ~cache ~use_cache ~domains g lib ~ld ~ad ~initial
     in
     let r = run_pipeline pipeline ctx in
     if ctx.ad_lo > !cert_lo then cert_lo := ctx.ad_lo;
@@ -955,11 +860,11 @@ let synthesize ?(scheduler = `Density) ?(refine = true) ?(strategy = `Best)
   (match certificate with Some c -> c := (!cert_lo, !cert_hi) | None -> ());
   result
 
-let synthesize_improved ~improve ?scheduler ?refine ?strategy ?trace ?use_cache
-    ?cache ?domains ?certificate g lib ~ld ~ad =
+let synthesize_improved ~improve ?scheduler ?refine ?strategy ?use_cache ?cache
+    ?domains ?certificate g lib ~ld ~ad =
   match
-    synthesize ?scheduler ?refine ?strategy ?trace ?use_cache ?cache ?domains
-      ?certificate g lib ~ld ~ad
+    synthesize ?scheduler ?refine ?strategy ?use_cache ?cache ?domains ?certificate g
+      lib ~ld ~ad
   with
   | Error _ as e -> e
   | Ok greedy -> (

@@ -25,7 +25,14 @@
     - the work done is observable through [Rchls_util.Telemetry]
       counters ([cache.hits], [cache.misses], [engine.realize],
       [downgrade.steps], [refine.upgrades], [latency.sparse_updates])
-      and per-pass timers ([pass.meet_latency], ...).
+      and per-pass span histograms ([pass.meet_latency], ...);
+    - every decision the passes take is reported once, as an
+      [Rchls_util.Trace] instant: [engine.initial],
+      [engine.latency_downgrade], [engine.slack_exploited],
+      [engine.area_downgrade] and [engine.refine_upgrade], with the
+      node(s), the from/to versions and the resulting latency, area or
+      reliability as attributes.  [--trace] and [--trace-out] render
+      them; with no sink installed no attributes are built.
 
     Results are bit-identical to the historical monolithic
     implementation: the passes preserve its exact decision order, and
@@ -42,28 +49,6 @@ type failure =
   | Scheduling_error of string
 
 val pp_failure : Format.formatter -> failure -> unit
-
-type trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      latency : int;
-    }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of {
-      nodes : string list;
-      from_version : string;
-      to_version : string;
-      area : int;
-    }
-  | Refinement_upgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      reliability : float;
-    }
 
 (** {1 Engine context} *)
 
@@ -84,24 +69,23 @@ type cache_stats = { entries : int; hits : int; misses : int }
 val cache_stats : cache -> cache_stats
 (** Cumulative effectiveness of one cache object: realized designs
     held (across all shards), and the hit/miss counts of every lookup
-    that went through it (rolled up at the root across worker
-    overlays).  Unlike the [cache.hits]/[cache.misses] telemetry
-    counters these are per-cache and survive [Telemetry.reset] — the
+    that went through it, worker-domain lookups included.  Unlike the
+    [cache.hits]/[cache.misses] telemetry counters these are per-cache
+    and survive [Telemetry.reset] — the
     serve daemon uses them to report how warm each registered
     per-(graph, library, scheduler) cache is. *)
 
 type ctx
 (** Shared state the passes operate on: the graph, library and bounds,
     the current version assignment, the incremental ASAP table, the
-    scheduling latency, the best realized design so far, the
-    evaluation cache and the trace sink. *)
+    scheduling latency, the best realized design so far and the
+    evaluation cache. *)
 
 val create :
   ?scheduler:Design.scheduler ->
   ?cache:cache ->
   ?use_cache:bool ->
   ?domains:int ->
-  ?trace:(trace_event -> unit) ->
   Dfg.t ->
   Library.t ->
   ld:int ->
@@ -158,11 +142,12 @@ val design : ctx -> Design.t option
 
 type pass = { name : string; run : ctx -> (unit, failure) result }
 (** A pipeline stage.  [run] mutates the context; [Error] aborts the
-    pipeline.  Each pass's wall-clock time accumulates in the
-    [pass.<name>] telemetry timer. *)
+    pipeline.  Each pass runs inside a [pass.<name>] span, so its
+    wall-clock time lands in the [pass.<name>] telemetry histogram. *)
 
 val initial_alloc : pass
-(** Traces the initial allocation (Figure 6 line 3). *)
+(** Reports the initial allocation (Figure 6 line 3) as an
+    [engine.initial] instant. *)
 
 val meet_latency : pass
 (** Lines 7-12: repeatedly move the slowest critical-path victim to a
@@ -209,7 +194,6 @@ val synthesize :
   ?scheduler:Design.scheduler ->
   ?refine:bool ->
   ?strategy:strategy ->
-  ?trace:(trace_event -> unit) ->
   ?use_cache:bool ->
   ?cache:cache ->
   ?domains:int ->
@@ -249,7 +233,6 @@ val synthesize_improved :
   ?scheduler:Design.scheduler ->
   ?refine:bool ->
   ?strategy:strategy ->
-  ?trace:(trace_event -> unit) ->
   ?use_cache:bool ->
   ?cache:cache ->
   ?domains:int ->

@@ -14,34 +14,12 @@ type failure = Engine.failure =
 
 let pp_failure = Engine.pp_failure
 
-type trace_event = Engine.trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      latency : int;
-    }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of {
-      nodes : string list;
-      from_version : string;
-      to_version : string;
-      area : int;
-    }
-  | Refinement_upgrade of {
-      node : string;
-      from_version : string;
-      to_version : string;
-      reliability : float;
-    }
-
 type strategy = [ `Figure6 | `Bottom_up | `Best ]
 
 let most_reliable_assignment _g lib (nd : Dfg.node) =
   Library.most_reliable lib (Op.resource_class nd.op)
 
-let synthesize ?scheduler ?refine ?strategy ?trace ?cache ?domains ?certificate g
-    lib ~ld ~ad =
-  Engine.synthesize ?scheduler ?refine ?strategy ?trace ?cache ?domains
-    ?certificate g lib ~ld ~ad
+let synthesize ?scheduler ?refine ?strategy ?cache ?domains ?certificate g lib ~ld
+    ~ad =
+  Engine.synthesize ?scheduler ?refine ?strategy ?cache ?domains ?certificate g lib
+    ~ld ~ad

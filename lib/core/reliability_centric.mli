@@ -31,13 +31,6 @@ type failure = Engine.failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
-type trace_event = Engine.trace_event =
-  | Initial of { latency : int }
-  | Latency_downgrade of { node : string; from_version : string; to_version : string; latency : int }
-  | Slack_exploited of { latency : int; area : int }
-  | Area_downgrade of { nodes : string list; from_version : string; to_version : string; area : int }
-  | Refinement_upgrade of { node : string; from_version : string; to_version : string; reliability : float }
-
 type strategy = [ `Figure6 | `Bottom_up | `Best ]
 (** [`Figure6]: the paper's top-down greedy (start most-reliable,
     downgrade victims).  [`Bottom_up]: start from the fastest versions
@@ -48,7 +41,6 @@ val synthesize :
   ?scheduler:Design.scheduler ->
   ?refine:bool ->
   ?strategy:strategy ->
-  ?trace:(trace_event -> unit) ->
   ?cache:Engine.cache ->
   ?domains:int ->
   ?certificate:(int * int) ref ->
@@ -76,8 +68,9 @@ val synthesize :
 
     This is a thin driver over the pass-pipeline engine: see {!Engine}
     for the stage decomposition, the memoized evaluation cache, the
-    telemetry counters, and the [certificate] contract (the exact
-    interval of area bounds proven to return the identical result). *)
+    telemetry counters, the [engine.*] decision trace instants, and
+    the [certificate] contract (the exact interval of area bounds
+    proven to return the identical result). *)
 
 val most_reliable_assignment : Dfg.t -> Library.t -> Dfg.node -> Resource.t
 (** The initial allocation (line 3). *)

@@ -438,11 +438,14 @@ let metrics_loop t fd =
 
 (* --- connection handling -------------------------------------------- *)
 
+(* [ic] and [oc] share one fd, so closing [oc] (under the write lock,
+   after its flush) closes the connection; closing [ic] as well would
+   close that fd number a second time, and by then accept() may have
+   handed the number to a new connection. *)
 let close_conn t conn =
   locked t.conns_mutex (fun () -> Hashtbl.remove t.conns conn.fd);
   Metrics.gauge_add "serve.connections" (-1);
-  (try close_out_noerr conn.oc with _ -> ());
-  close_in_noerr conn.ic
+  locked conn.write_mutex (fun () -> close_out_noerr conn.oc)
 
 let reader_loop t conn =
   let rec loop () =

@@ -3,35 +3,14 @@
    the same as Telemetry's — writers never contend on a lock in the
    hot path.  Gauges are single Atomics (set/add are one instruction);
    rolling histograms take a mutex only to rotate a stale slice, which
-   happens once per slice period per slice, not per observation. *)
+   happens once per slice period per slice, not per observation.  The
+   registry lock and the log2 histogram cell are Telemetry's. *)
+
+module Registry = Telemetry.Registry
 
 let start_ns = Telemetry.now_ns ()
 
 let uptime_ns () = Int64.sub (Telemetry.now_ns ()) start_ns
-
-let registry_lock = Mutex.create ()
-
-let find_or_create tbl make name =
-  match Hashtbl.find_opt tbl name with
-  | Some c -> c
-  | None ->
-    Mutex.lock registry_lock;
-    let c =
-      match Hashtbl.find_opt tbl name with
-      | Some c -> c
-      | None ->
-        let c = make () in
-        Hashtbl.add tbl name c;
-        c
-    in
-    Mutex.unlock registry_lock;
-    c
-
-let sorted_fold tbl value =
-  Mutex.lock registry_lock;
-  let xs = Hashtbl.fold (fun name c acc -> (name, value c) :: acc) tbl [] in
-  Mutex.unlock registry_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) xs
 
 (* --- gauges -------------------------------------------------------- *)
 
@@ -41,7 +20,7 @@ let sorted_fold tbl value =
    sharding would make it a read-modify-write over 8 slots. *)
 let gauges_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
 
-let gauge_cell = find_or_create gauges_tbl (fun () -> Atomic.make 0)
+let gauge_cell = Registry.find_or_create gauges_tbl (fun () -> Atomic.make 0)
 
 let gauge_set name v = Atomic.set (gauge_cell name) v
 
@@ -52,13 +31,11 @@ let gauge name =
   | None -> 0
   | Some c -> Atomic.get c
 
-let gauges () = sorted_fold gauges_tbl Atomic.get
+let gauges () = Registry.snapshot gauges_tbl Atomic.get
 
 (* --- rolling-window histograms ------------------------------------- *)
 
 module Rolling = struct
-  let hist_buckets = 63
-
   type stat = {
     count : int;
     sum_ns : int64;
@@ -74,26 +51,12 @@ module Rolling = struct
      a slice is reused for epoch e+n, e+2n, ... and lazily zeroed the
      first time a writer or reader touches it in its new epoch.
      [min_int] marks "never written". *)
-  type slice = {
-    epoch : int Atomic.t;
-    buckets : int Atomic.t array;
-    s_count : int Atomic.t;
-    s_sum : int Atomic.t;
-    s_max : int Atomic.t;
-    lock : Mutex.t;
-  }
+  type slice = { epoch : int Atomic.t; hist : Telemetry.Hist.t; lock : Mutex.t }
 
   type t = { slice_ns : int64; window_ns : int64; slices : slice array }
 
   let make_slice () =
-    {
-      epoch = Atomic.make min_int;
-      buckets = Array.init hist_buckets (fun _ -> Atomic.make 0);
-      s_count = Atomic.make 0;
-      s_sum = Atomic.make 0;
-      s_max = Atomic.make 0;
-      lock = Mutex.create ();
-    }
+    { epoch = Atomic.make min_int; hist = Telemetry.Hist.create (); lock = Mutex.create () }
 
   let create ?(window_ns = 60_000_000_000L) ?(slices = 12) () =
     let slices = max 2 slices in
@@ -102,40 +65,20 @@ module Rolling = struct
     let slice_ns = Int64.div window_ns (Int64.of_int slices) in
     { slice_ns; window_ns; slices = Array.init slices (fun _ -> make_slice ()) }
 
-  (* Same log2 binning as Telemetry: bucket [i] is [2^i, 2^(i+1)). *)
-  let bucket_of ns =
-    if ns <= 1 then 0
-    else begin
-      let i = ref 0 and v = ref ns in
-      while !v > 1 do
-        incr i;
-        v := !v lsr 1
-      done;
-      min !i (hist_buckets - 1)
-    end
-
   let clamp_now now = if Int64.compare now 0L < 0 then 0L else now
 
   let epoch_of t now = Int64.to_int (Int64.div (clamp_now now) t.slice_ns)
-
-  let reset_slice s =
-    Array.iter (fun a -> Atomic.set a 0) s.buckets;
-    Atomic.set s.s_count 0;
-    Atomic.set s.s_sum 0;
-    Atomic.set s.s_max 0
 
   (* Rotate [s] forward to [idx] if it still holds an older epoch.
      Under the mutex so concurrent rotators reset at most once; the
      double-check makes late arrivals a no-op. *)
   let rotate_to s idx =
-    if Atomic.get s.epoch <> idx then begin
-      Mutex.lock s.lock;
-      if Atomic.get s.epoch < idx then begin
-        reset_slice s;
-        Atomic.set s.epoch idx
-      end;
-      Mutex.unlock s.lock
-    end
+    if Atomic.get s.epoch <> idx then
+      Mutex.protect s.lock (fun () ->
+          if Atomic.get s.epoch < idx then begin
+            Telemetry.Hist.reset s.hist;
+            Atomic.set s.epoch idx
+          end)
 
   let observe ?now_ns t v =
     let now = match now_ns with Some n -> n | None -> Telemetry.now_ns () in
@@ -145,113 +88,53 @@ module Rolling = struct
     (* If another writer already rotated the slot past [idx] this
        observation fell out of the window between the clock read and
        here; dropping it is the correct accounting. *)
-    if Atomic.get s.epoch = idx then begin
-      (* Clamp before converting: [Int64.to_int 2^63-1] wraps to -1. *)
-      let v =
-        if Int64.compare v 0L < 0 then 0
-        else if Int64.compare v (Int64.of_int max_int) > 0 then max_int
-        else Int64.to_int v
-      in
-      ignore (Atomic.fetch_and_add s.buckets.(bucket_of v) 1);
-      ignore (Atomic.fetch_and_add s.s_count 1);
-      ignore (Atomic.fetch_and_add s.s_sum v);
-      let rec bump () =
-        let cur = Atomic.get s.s_max in
-        if v > cur && not (Atomic.compare_and_set s.s_max cur v) then bump ()
-      in
-      bump ()
-    end
+    if Atomic.get s.epoch = idx then Telemetry.Hist.observe s.hist v
 
-  (* Quantile over an already-merged bucket array — the same
-     cumulative-rank walk with linear in-bucket interpolation capped
-     by the exact max that Telemetry.hist_quantile does. *)
-  let quantile merged total max_v q =
-    if total = 0 then 0.
-    else begin
-      let rank = q *. float_of_int total in
-      let acc = ref 0. and result = ref None in
-      (try
-         for i = 0 to hist_buckets - 1 do
-           let c = float_of_int merged.(i) in
-           if c > 0. then begin
-             let next = !acc +. c in
-             if next >= rank then begin
-               let lo = if i = 0 then 0. else float_of_int (1 lsl i) in
-               let hi = float_of_int (1 lsl (i + 1)) in
-               let frac = (rank -. !acc) /. c in
-               result := Some (lo +. ((hi -. lo) *. frac));
-               raise Exit
-             end;
-             acc := next
-           end
-         done
-       with Exit -> ());
-      let cap = float_of_int max_v in
-      match !result with Some v -> Float.min v cap | None -> cap
-    end
-
-  let empty_stat ~window_ns =
+  let of_hist ~window_ns (h : Telemetry.hist) =
     {
-      count = 0;
-      sum_ns = 0L;
-      p50_ns = 0.;
-      p90_ns = 0.;
-      p99_ns = 0.;
-      max_ns = 0L;
+      count = h.count;
+      sum_ns = h.sum_ns;
+      p50_ns = h.p50_ns;
+      p90_ns = h.p90_ns;
+      p99_ns = h.p99_ns;
+      max_ns = h.max_ns;
       window_ns;
     }
 
+  let empty_stat ~window_ns = of_hist ~window_ns (Telemetry.Hist.stat [])
+
+  (* Merge the slices whose epoch lies inside the window ending at
+     [now]; counts never decrease within an epoch, so a snapshot taken
+     under concurrent writers stays internally consistent enough. *)
   let stat ?now_ns t =
     let now = match now_ns with Some n -> n | None -> Telemetry.now_ns () in
     let idx = epoch_of t now in
-    let n = Array.length t.slices in
-    let min_epoch = idx - n + 1 in
-    let merged = Array.make hist_buckets 0 in
-    let count = ref 0 and sum = ref 0 and max_v = ref 0 in
-    Array.iter
-      (fun s ->
-        let e = Atomic.get s.epoch in
-        if e >= min_epoch && e <= idx then begin
-          (* Concurrent writers may land between these reads; the
-             slices stay internally consistent enough for a snapshot
-             (counts never decrease within an epoch). *)
-          Array.iteri
-            (fun i b -> merged.(i) <- merged.(i) + Atomic.get b)
-            s.buckets;
-          count := !count + Atomic.get s.s_count;
-          sum := !sum + Atomic.get s.s_sum;
-          if Atomic.get s.s_max > !max_v then max_v := Atomic.get s.s_max
-        end)
-      t.slices;
-    if !count = 0 then empty_stat ~window_ns:t.window_ns
-    else
-      {
-        count = !count;
-        sum_ns = Int64.of_int !sum;
-        p50_ns = quantile merged !count !max_v 0.5;
-        p90_ns = quantile merged !count !max_v 0.9;
-        p99_ns = quantile merged !count !max_v 0.99;
-        max_ns = Int64.of_int !max_v;
-        window_ns = t.window_ns;
-      }
+    let min_epoch = idx - Array.length t.slices + 1 in
+    let live =
+      Array.fold_right
+        (fun s acc ->
+          let e = Atomic.get s.epoch in
+          if e >= min_epoch && e <= idx then s.hist :: acc else acc)
+        t.slices []
+    in
+    of_hist ~window_ns:t.window_ns (Telemetry.Hist.stat live)
 
   let clear t =
     Array.iter
       (fun s ->
-        Mutex.lock s.lock;
-        reset_slice s;
-        Atomic.set s.epoch min_int;
-        Mutex.unlock s.lock)
+        Mutex.protect s.lock (fun () ->
+            Telemetry.Hist.reset s.hist;
+            Atomic.set s.epoch min_int))
       t.slices
 end
 
 let windows_tbl : (string, Rolling.t) Hashtbl.t = Hashtbl.create 16
 
-let window = find_or_create windows_tbl (fun () -> Rolling.create ())
+let window = Registry.find_or_create windows_tbl (fun () -> Rolling.create ())
 
 let observe_window name ns = Rolling.observe (window name) ns
 
-let windows () = sorted_fold windows_tbl (fun w -> Rolling.stat w)
+let windows () = Registry.snapshot windows_tbl (fun w -> Rolling.stat w)
 
 (* --- snapshot and exposition --------------------------------------- *)
 
@@ -339,7 +222,5 @@ let to_json snap =
     ]
 
 let reset () =
-  Mutex.lock registry_lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c 0) gauges_tbl;
-  Hashtbl.iter (fun _ w -> Rolling.clear w) windows_tbl;
-  Mutex.unlock registry_lock
+  Registry.iter gauges_tbl (fun c -> Atomic.set c 0);
+  Registry.iter windows_tbl Rolling.clear

@@ -1,8 +1,8 @@
 (** Daemon-grade metrics: gauges, rolling-window latency histograms,
     and exposition — the live half of the observability layer.
 
-    {!Telemetry} accumulates {e cumulative} counters, timers and
-    histograms: perfect for a finite run read after the domains join,
+    {!Telemetry} accumulates {e cumulative} counters and histograms:
+    perfect for a finite run read after the domains join,
     useless for answering "what is the p99 {e right now}?" on a daemon
     that has been up for a week.  This module adds the two metric
     shapes a long-running process needs:
@@ -13,9 +13,12 @@
     - {b rolling-window histograms} ({!Rolling}) — log2-bucketed
       duration histograms over a sliding time window (default 60 s in
       12 slices), so p50/p90/p99 reflect {e recent} traffic and old
-      load spikes age out.
+      load spikes age out.  Each slice is a {!Telemetry.Hist} cell,
+      the same histogram Telemetry keeps per span.
 
-    Counters stay in {!Telemetry} (sharded, exact); {!snapshot} folds
+    Gauges and windows live in {!Telemetry.Registry} tables, under
+    the one registry lock.  Counters stay in {!Telemetry} (sharded,
+    exact); {!snapshot} folds
     them in so one read covers all three families, and the two
     encoders ({!to_prometheus}, {!to_json}) render a snapshot for the
     [--metrics] scrape endpoint and the [stats] API kind.

@@ -1,18 +1,19 @@
-(** Engine observability: named counters, monotonic-clock timers and
-    log-scale latency histograms.
+(** Engine observability: named counters and log-scale latency
+    histograms.
 
     The synthesis layers (scheduling, binding, the pass-pipeline
     engine, the redundancy baseline) report how much work they do
     through a process-global registry of named counters
-    (["sched.runs"], ["cache.hits"], ["downgrade.steps"], ...),
-    cumulative wall-clock timers (["pass.meet_latency"], ...) and
-    duration histograms fed by {!Trace.with_span}.
+    (["sched.runs"], ["cache.hits"], ["downgrade.steps"], ...) and
+    duration histograms fed by {!Trace.with_span}.  A span's
+    cumulative wall-clock time ({!timers}) is its histogram's sum —
+    there is one record per span, not a timer beside a histogram.
 
-    Counter and timer cells are {e sharded per domain} (one atomic per
-    shard, aggregated on read) so parallel sweep and fault-campaign
-    workers bump them without cache-line contention.  Reads
-    ({!counters}, {!timers}, {!histograms}) are snapshots, exact once
-    the domains have been joined.
+    Counter cells are {e sharded per domain} (one atomic per shard,
+    aggregated on read) so parallel sweep and fault-campaign workers
+    bump them without cache-line contention.  Reads ({!counters},
+    {!timers}, {!histograms}) are snapshots, exact once the domains
+    have been joined.
 
     Recording is free of observable side effects on synthesis results:
     layers must never branch on telemetry state. *)
@@ -30,20 +31,7 @@ val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
 val now_ns : unit -> int64
-(** The monotonic clock backing {!time} and {!Trace.with_span}. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f ()], adding its monotonic-clock elapsed time
-    to timer [name] (and re-raising any exception, still charged). *)
-
-val add_timer_ns : string -> int64 -> unit
-(** Add an externally measured duration to timer [name]. *)
-
-val timer_ns : string -> int64
-(** Accumulated nanoseconds; 0 for an unknown timer. *)
-
-val timers : unit -> (string * int64) list
-(** All timers (name, cumulative ns), sorted by name. *)
+(** The monotonic clock backing {!Trace.with_span}. *)
 
 (** {1 Histograms} *)
 
@@ -68,23 +56,13 @@ val histogram : string -> hist option
 val histograms : unit -> (string * hist) list
 (** All non-empty histograms, sorted by name. *)
 
-(** {1 Event stream} *)
-
-type event =
-  | Counter of { name : string; delta : int }
-  | Timer of { name : string; ns : int64 }
-  | Observation of { name : string; ns : int64 }
-
-val set_sink : (event -> unit) option -> unit
-(** Install (or remove) a sink observing every counter bump, timer
-    stop and histogram observation in addition to the registry
-    accumulation.  The sink runs on the domain that recorded the
-    event; it must be thread-safe when parallel sweeps are active.
-    Intended for streaming traces and tests. *)
+val timers : unit -> (string * int64) list
+(** Cumulative nanoseconds per histogram — each entry is that
+    histogram's [sum_ns] — sorted by name.  Unlike {!histograms} it
+    keeps histograms emptied by {!reset}, with 0. *)
 
 val reset : unit -> unit
-(** Zero every counter, timer and histogram (the registry keys
-    survive). *)
+(** Zero every counter and histogram (the registry keys survive). *)
 
 (** {1 Rendering} *)
 
@@ -96,6 +74,45 @@ val format_ns_f : float -> string
     quantiles. *)
 
 val render : unit -> string
-(** Counters, timers (human units) and histogram quantile rows as an
-    aligned two-column table, empty string when nothing was recorded —
-    the [--stats] output of the CLI. *)
+(** Counters, span totals from {!timers} (human units) and histogram
+    quantile rows as an aligned two-column table, empty string when
+    nothing was recorded — the [--stats] output of the CLI. *)
+
+(** {1 Building blocks}
+
+    The cells and registry helpers the rest of the observability layer
+    ([Metrics]) is built from, so one log2 histogram and one registry
+    lock serve both modules. *)
+
+module Registry : sig
+  val find_or_create : (string, 'a) Hashtbl.t -> (unit -> 'a) -> string -> 'a
+  (** Get the cell under [name], creating it with [make ()] under the
+      registry lock on first use.  Lookups of existing cells take no
+      lock. *)
+
+  val iter : (string, 'a) Hashtbl.t -> ('a -> unit) -> unit
+  (** Visit every cell under the registry lock. *)
+
+  val snapshot : (string, 'a) Hashtbl.t -> ('a -> 'b) -> (string * 'b) list
+  (** [(name, value cell)] for every cell, sorted by name. *)
+end
+
+module Hist : sig
+  type t
+  (** A log2-bucketed duration histogram: bucket [i] counts
+      observations in [[2^i, 2^(i+1))] ns.  Writers are lock-free
+      (atomic bumps, CAS for the max). *)
+
+  val create : unit -> t
+
+  val observe : t -> int64 -> unit
+  (** Record one duration; negative values count as 0 and values past
+      the native-int range clamp to [max_int]. *)
+
+  val reset : t -> unit
+
+  val stat : t list -> hist
+  (** Merge the cells and estimate quantiles: cumulative rank over the
+      merged buckets, linear interpolation inside the bucket, capped
+      by the exact max.  All zeros for no observations. *)
+end

@@ -5,18 +5,23 @@
     {!with_span}.  Spans nest: each domain keeps its own span stack
     (via [Domain.DLS]), so parallel sweep/campaign workers trace
     independently and the export shows one track per domain.  Every
-    span completion also feeds the [Telemetry] registry — a cumulative
-    timer and a log-scale latency histogram under the span's name — so
-    [--stats] shows per-span totals and p50/p90/p99 even without a
-    sink installed.
+    span completion also feeds the [Telemetry] registry — one
+    log-scale latency histogram under the span's name, whose sum is
+    the span's cumulative time — so [--stats] shows per-span totals
+    and p50/p90/p99 even without a sink installed.
+
+    Instants carry the engine's algorithm decisions: the Figure-6
+    passes report each latency downgrade, slack use, area downgrade
+    and refinement upgrade as an [engine.*] instant, and that stream
+    is the only report of them ([--trace] renders it).
 
     Recording is free of observable side effects: no layer may branch
     on tracing state, and synthesis results are bit-identical with
     tracing on or off (tested).
 
     When no sink is installed, the per-span overhead is two clock
-    reads plus the telemetry accumulation — cheap enough to leave the
-    instrumentation on unconditionally. *)
+    reads plus one histogram lookup and observation — cheap enough to
+    leave the instrumentation on unconditionally. *)
 
 (** {1 Events} *)
 
@@ -45,7 +50,7 @@ val with_span : ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span: emits [Begin]/[End]
     events to the installed sinks (the [End] is emitted even when [f]
     raises), pushes the span on the current domain's stack while [f]
-    runs, and records the duration in the [name] telemetry timer and
+    runs, and records the duration in the [name] telemetry
     histogram. *)
 
 val instant : ?attrs:attrs -> string -> unit

@@ -192,16 +192,36 @@ let test_refine_never_hurts () =
       | _ -> ())
     all_cases
 
+(* Engine decisions go out once, as [engine.*] trace instants. *)
 let test_trace_events_emitted () =
-  let events = ref [] in
-  (match synth Benchmarks.fir16 11 9 with _ -> ());
+  let module Trace = Rchls_util.Trace in
+  let c = Trace.collector () in
   (match
-     Rc.synthesize ~trace:(fun e -> events := e :: !events) Benchmarks.fir16 lib ~ld:11
-       ~ad:9
+     Trace.with_sinks [ Trace.collector_sink c ] (fun () ->
+         Rc.synthesize Benchmarks.fir16 lib ~ld:11 ~ad:9)
    with
   | _ -> ());
-  Alcotest.(check bool) "has initial" true
-    (List.exists (function Rc.Initial _ -> true | _ -> false) !events)
+  let decisions =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.kind = Trace.Instant && String.starts_with ~prefix:"engine." e.name
+        then Some e.name
+        else None)
+      (Trace.events c)
+  in
+  Alcotest.(check bool) "has initial" true (List.mem "engine.initial" decisions);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a decision kind") true
+        (List.mem name
+           [
+             "engine.initial";
+             "engine.latency_downgrade";
+             "engine.slack_exploited";
+             "engine.area_downgrade";
+             "engine.refine_upgrade";
+           ]))
+    decisions
 
 (* --- properties --- *)
 

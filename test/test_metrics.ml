@@ -228,6 +228,93 @@ let test_exposition () =
   Alcotest.(check bool) "reset leaves Telemetry counters" true
     (Telemetry.counter "expo.count" = 2)
 
+(* Golden bytes: a fixed snapshot (hand-picked counters and gauges,
+   rolling windows fed at injected timestamps) encodes to exactly these
+   Prometheus and JSON texts.  The uptime value is the one line that
+   reads the clock, so it is dropped before comparing. *)
+let golden_snapshot () =
+  let stat_of obs ~at =
+    let w = mk () in
+    List.iter (fun (t, v) -> Metrics.Rolling.observe ~now_ns:t w v) obs;
+    Metrics.Rolling.stat ~now_ns:at w
+  in
+  let s5 = 5_000_000_000L in
+  {
+    Metrics.counters =
+      [ ("golden.zero", 0); ("golden.hits", 17); ("golden-x/y", 3) ];
+    gauges = [ ("golden.depth", 5); ("golden.neg", -2) ];
+    windows =
+      [
+        ( "golden.mixed",
+          stat_of ~at:s5
+            (List.map
+               (fun v -> (s5, v))
+               [ 0L; 1L; 3L; 1_500L; 70_000L; 2_000_000L; 1_000_000_000L ]) );
+        ( "golden.partial",
+          stat_of ~at:2_050_000_000L
+            [ (1_000_000_000L, 100L); (1_500_000_000L, 900L); (2_000_000_000L, 40L) ] );
+        ("golden.wide", stat_of ~at:s5 [ (s5, 0L); (s5, 35_184_372_088_832L) ]);
+        ("golden.empty", stat_of ~at:s5 []);
+      ];
+  }
+
+let golden_prometheus =
+  "# TYPE rchls_uptime_seconds gauge\n\
+   # TYPE rchls_golden_zero_total counter\n\
+   rchls_golden_zero_total 0\n\
+   # TYPE rchls_golden_hits_total counter\n\
+   rchls_golden_hits_total 17\n\
+   # TYPE rchls_golden_x_y_total counter\n\
+   rchls_golden_x_y_total 3\n\
+   # TYPE rchls_golden_depth gauge\n\
+   rchls_golden_depth 5\n\
+   # TYPE rchls_golden_neg gauge\n\
+   rchls_golden_neg -2\n\
+   # TYPE rchls_golden_mixed_seconds summary\n\
+   rchls_golden_mixed_seconds{quantile=\"0.5\"} 1.536e-06\n\
+   rchls_golden_mixed_seconds{quantile=\"0.9\"} 0.697932186\n\
+   rchls_golden_mixed_seconds{quantile=\"0.99\"} 1\n\
+   rchls_golden_mixed_seconds_sum 1.0020715\n\
+   rchls_golden_mixed_seconds_count 7\n\
+   # TYPE rchls_golden_partial_seconds summary\n\
+   rchls_golden_partial_seconds{quantile=\"0.5\"} 6.4e-08\n\
+   rchls_golden_partial_seconds{quantile=\"0.9\"} 9e-07\n\
+   rchls_golden_partial_seconds{quantile=\"0.99\"} 9e-07\n\
+   rchls_golden_partial_seconds_sum 9.4e-07\n\
+   rchls_golden_partial_seconds_count 2\n\
+   # TYPE rchls_golden_wide_seconds summary\n\
+   rchls_golden_wide_seconds{quantile=\"0.5\"} 2e-09\n\
+   rchls_golden_wide_seconds{quantile=\"0.9\"} 35184.3721\n\
+   rchls_golden_wide_seconds{quantile=\"0.99\"} 35184.3721\n\
+   rchls_golden_wide_seconds_sum 35184.3721\n\
+   rchls_golden_wide_seconds_count 2\n\
+   # TYPE rchls_golden_empty_seconds summary\n\
+   rchls_golden_empty_seconds{quantile=\"0.5\"} 0\n\
+   rchls_golden_empty_seconds{quantile=\"0.9\"} 0\n\
+   rchls_golden_empty_seconds{quantile=\"0.99\"} 0\n\
+   rchls_golden_empty_seconds_sum 0\n\
+   rchls_golden_empty_seconds_count 0\n"
+
+let golden_json =
+  "{\"counters\":{\"golden.zero\":0,\"golden.hits\":17,\"golden-x/y\":3},\
+   \"gauges\":{\"golden.depth\":5,\"golden.neg\":-2},\
+   \"windows\":{\"golden.mixed\":{\"count\":7,\"sum_ns\":1002071504,\"p50_ns\":1536,\"p90_ns\":697932185.5999999,\"p99_ns\":1000000000,\"max_ns\":1000000000,\"window_ns\":1000000000},\
+   \"golden.partial\":{\"count\":2,\"sum_ns\":940,\"p50_ns\":64,\"p90_ns\":900,\"p99_ns\":900,\"max_ns\":900,\"window_ns\":1000000000},\
+   \"golden.wide\":{\"count\":2,\"sum_ns\":35184372088832,\"p50_ns\":2,\"p90_ns\":35184372088832,\"p99_ns\":35184372088832,\"max_ns\":35184372088832,\"window_ns\":1000000000},\
+   \"golden.empty\":{\"count\":0,\"sum_ns\":0,\"p50_ns\":0,\"p90_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"window_ns\":1000000000}}}"
+
+let test_golden_exposition () =
+  let snap = golden_snapshot () in
+  let text =
+    String.split_on_char '\n' (Metrics.to_prometheus snap)
+    |> List.filter (fun l ->
+           not (String.starts_with ~prefix:"rchls_uptime_seconds " l))
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "prometheus bytes" golden_prometheus text;
+  Alcotest.(check string) "json bytes" golden_json
+    (Json.to_string (Metrics.to_json snap))
+
 let test_uptime_monotone () =
   let a = Metrics.uptime_ns () in
   let b = Metrics.uptime_ns () in
@@ -259,5 +346,6 @@ let () =
           Alcotest.test_case "prometheus + json exposition" `Quick
             test_exposition;
           Alcotest.test_case "uptime" `Quick test_uptime_monotone;
+          Alcotest.test_case "golden bytes" `Quick test_golden_exposition;
         ] );
     ]

@@ -47,10 +47,28 @@ let test_span_nesting () =
   in
   Alcotest.(check (option int)) "attrs preserved" (Some 1)
     (Trace.attr_int inner_begin.Trace.attrs "k");
-  (* Span completions feed the telemetry timer and histogram. *)
-  Alcotest.(check bool) "timer fed" true (Telemetry.timer_ns "outer" > 0L);
+  (* Span completions feed one histogram per name; the span totals in
+     [timers] are those histograms' sums, and a histogram emptied by
+     [reset] keeps its zero entry. *)
   Alcotest.(check bool) "histogram fed" true
-    (match Telemetry.histogram "inner" with Some h -> h.Telemetry.count = 1 | None -> false)
+    (match Telemetry.histogram "inner" with Some h -> h.Telemetry.count = 1 | None -> false);
+  let hs = Telemetry.histograms () in
+  List.iter
+    (fun (n, ns) ->
+      let expect =
+        match List.assoc_opt n hs with Some h -> h.Telemetry.sum_ns | None -> 0L
+      in
+      Alcotest.(check int64) ("timer " ^ n ^ " is its histogram's sum") expect ns)
+    (Telemetry.timers ());
+  Alcotest.(check bool) "every histogram has a timer" true
+    (List.for_all (fun (n, _) -> List.mem_assoc n (Telemetry.timers ())) hs);
+  Alcotest.(check bool) "outer total positive" true
+    (List.assoc "outer" (Telemetry.timers ()) > 0L);
+  Telemetry.reset ();
+  Alcotest.(check (option int64)) "zero entry kept after reset" (Some 0L)
+    (List.assoc_opt "outer" (Telemetry.timers ()));
+  Alcotest.(check bool) "every total zero after reset" true
+    (List.for_all (fun (_, ns) -> ns = 0L) (Telemetry.timers ()))
 
 let test_span_exception_safety () =
   let exception Boom in

@@ -256,10 +256,29 @@ let test_histogram_empty () =
   Telemetry.reset ();
   Alcotest.(check bool) "unknown histogram" true (Telemetry.histogram "t.none" = None)
 
+(* [max_int] (2^62 - 1 ns) lands in the bucket [2^61, 2^62); the
+   bucket's upper bound must not wrap negative in the quantile
+   interpolation. *)
+let test_histogram_top_bucket () =
+  Telemetry.reset ();
+  Telemetry.observe "t.top" 0L;
+  Telemetry.observe "t.top" Int64.max_int;
+  (match Telemetry.histogram "t.top" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some h ->
+    let max_f = Int64.to_float h.Telemetry.max_ns in
+    List.iter
+      (fun q ->
+        Alcotest.(check bool) "quantile within [0, max]" true (q >= 0. && q <= max_f))
+      [ h.p50_ns; h.p90_ns; h.p99_ns ];
+    Alcotest.(check bool) "p99 in the max_int bucket" true (h.p99_ns >= Float.ldexp 1. 61));
+  Telemetry.reset ()
+
 let test_render_units_and_histograms () =
   Telemetry.reset ();
   Telemetry.incr "t.c";
-  Telemetry.add_timer_ns "t.timer" 12_400L;
+  (* A span total is its histogram's sum: one 12.4 us observation. *)
+  Telemetry.observe "t.timer" 12_400L;
   Telemetry.observe "t.h" 100L;
   let s = Telemetry.render () in
   Alcotest.(check bool) "counter row" true (contains_substring s "t.c");
@@ -415,6 +434,7 @@ let () =
           Alcotest.test_case "format_ns units" `Quick test_format_ns;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
+          Alcotest.test_case "histogram top bucket" `Quick test_histogram_top_bucket;
           Alcotest.test_case "render units + histograms" `Quick
             test_render_units_and_histograms;
         ] );
