@@ -36,11 +36,16 @@ val run : state -> int array -> int array
     [Eval.run] on the lane-[l] slice of [ins].  Raises
     [Invalid_argument] on input-width mismatch. *)
 
-val run_with_flip : state -> int array -> flip_net:Netlist.net -> int array
-(** Like {!run} but complements [flip_net] (in every lane) immediately
-    after its driver has evaluated — a single-event upset injected
-    into all lanes of one sweep.  Lane-equivalent to
-    {!Eval.run_with_flip}. *)
+val upset : state -> flip_net:Netlist.net -> int array
+(** [upset st ~flip_net] injects a single-event upset into every lane
+    of the fault-free {!run} that [st] holds: it complements
+    [flip_net] and re-evaluates only the gates after the net's driver
+    (every gate when [flip_net] is an input or a constant), then
+    returns the packed output words.  Lane-equivalent to
+    {!Eval.run_with_flip} on the inputs of that run.  The state then
+    holds the upset values ({!net_value} reads them), so the next
+    upset needs a fresh {!run} first.  Raises [Invalid_argument] when
+    [st] holds no fault-free run or on an unknown net. *)
 
 val net_value : state -> Netlist.net -> int
 (** Packed value of a net after the last run.  Raises

@@ -2,16 +2,18 @@
     netlists.
 
     For each candidate node (gate output), random input vectors are
-    simulated twice — fault-free and with the node's value flipped —
-    and the fraction of vectors for which any primary output differs
-    estimates the node's *logical derating* (1 − logical-masking
-    probability).  This substitutes for the paper's fault-injection
-    reference [8]; electrical and latching-window masking, which need
-    analog waveforms we cannot simulate, are applied as analytic
-    derating constants in {!Ser}.
+    simulated fault-free, the node's value is then flipped and the
+    logic after it re-evaluated, and the fraction of vectors for which
+    any primary output differs estimates the node's *logical derating*
+    (1 − logical-masking probability).  This substitutes for the
+    paper's fault-injection reference [8]; electrical and
+    latching-window masking, which need analog waveforms we cannot
+    simulate, are applied as analytic derating constants in {!Ser}.
 
     The production engine ({!Campaign.run}) is bit-parallel (63 vectors
-    per sweep via {!Rchls_netlist.Eval_packed}), fans nodes out over
+    per sweep via {!Rchls_netlist.Eval_packed}, stimuli drawn with
+    {!Rchls_util.Rng.fill_lanes}, the upset applied to the fault-free
+    sweep by {!Rchls_netlist.Eval_packed.upset}), fans nodes out over
     the {!Rchls_util.Pool} domains, streams per-node hit counts into
     Wilson-interval estimates with optional early termination, and
     memoizes reports by netlist fingerprint.  The scalar reference

@@ -34,3 +34,12 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** Fair coin flip. *)
+
+val fill_lanes : t -> int array -> lanes:int -> unit
+(** [fill_lanes t w ~lanes] packs [lanes] random vectors of
+    [Array.length w] bits into [w]: bit [l] of [w.(i)] is bit [i] of
+    vector [l], every other bit is cleared.  It makes exactly the draws
+    of [lanes * Array.length w] calls of {!bool}, in the same
+    vector-major order (vector [l], then word [i]), and leaves [t] in
+    the same state; only faster, without allocating.  Requires
+    [0 <= lanes <= Sys.int_size]. *)

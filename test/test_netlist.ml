@@ -288,6 +288,9 @@ let build_random (n_inputs, specs) =
   for i = 0 to n_inputs - 1 do
     nets := Netlist.input b (Printf.sprintf "i%d" i) :: !nets
   done;
+  (* Constants join the fanin pool: with the inputs they are the nets
+     no gate drives. *)
+  nets := Netlist.constant b true :: Netlist.constant b false :: !nets;
   List.iter
     (fun (k, (f1, f2, f3)) ->
       let arr = Array.of_list !nets in
@@ -339,27 +342,57 @@ let prop_packed_matches_scalar =
       let scalar_outs = Array.map (fun v -> Array.copy (Eval.run sst v)) vectors in
       lanes_agree ~n_vec packed_out scalar_outs)
 
+(* One random upset checked lane-by-lane against the scalar flip: a
+   fault-free [run] on [st], then [upset].  [flip_net] is drawn from
+   all nets, so inputs and constants cover the no-driver path. *)
+let packed_upset_agrees nl st rng =
+  let n_in = Array.length (Netlist.inputs nl) in
+  let flip_net = Random.State.int rng (Netlist.net_count nl) in
+  let n_vec = 1 + Random.State.int rng Eval_packed.lanes in
+  let vectors =
+    Array.init n_vec (fun _ -> Array.init n_in (fun _ -> Random.State.bool rng))
+  in
+  ignore (Eval_packed.run st (pack_vectors ~n_in vectors));
+  let packed_out = Eval_packed.upset st ~flip_net in
+  let sst = Eval.create nl in
+  let scalar_outs =
+    Array.map (fun v -> Array.copy (Eval.run_with_flip sst v ~flip_net)) vectors
+  in
+  lanes_agree ~n_vec packed_out scalar_outs
+
 let prop_packed_flip_matches_scalar =
   QCheck2.Test.make ~name:"packed flip = scalar flip (random netlists)" ~count:60
     QCheck2.Gen.(pair gen_netlist_spec (int_bound 1_000_000))
     (fun (spec, seed) ->
       let nl = build_random spec in
-      let n_in = Array.length (Netlist.inputs nl) in
-      let rng = Random.State.make [| seed |] in
-      let flip_net = Random.State.int rng (Netlist.net_count nl) in
-      let n_vec = 1 + Random.State.int rng Eval_packed.lanes in
-      let vectors =
-        Array.init n_vec (fun _ -> Array.init n_in (fun _ -> Random.State.bool rng))
-      in
-      let packed_out =
-        Eval_packed.run_with_flip (Eval_packed.create nl) (pack_vectors ~n_in vectors)
-          ~flip_net
-      in
-      let sst = Eval.create nl in
-      let scalar_outs =
-        Array.map (fun v -> Array.copy (Eval.run_with_flip sst v ~flip_net)) vectors
-      in
-      lanes_agree ~n_vec packed_out scalar_outs)
+      packed_upset_agrees nl (Eval_packed.create nl) (Random.State.make [| seed |]))
+
+(* The campaign reuses one packed state across batches: a net left
+   complemented by the first upset must not leak into the second
+   run+upset pair. *)
+let prop_packed_upset_state_reuse =
+  QCheck2.Test.make ~name:"packed flip twice on one state = scalar flip" ~count:60
+    QCheck2.Gen.(pair gen_netlist_spec (int_bound 1_000_000))
+    (fun (spec, seed) ->
+      let nl = build_random spec in
+      let st = Eval_packed.create nl and rng = Random.State.make [| seed |] in
+      let first = packed_upset_agrees nl st rng in
+      first && packed_upset_agrees nl st rng)
+
+let test_upset_needs_fault_free_run () =
+  let nl = tiny_and () in
+  let st = Eval_packed.create nl in
+  let z = Netlist.find_output nl "z" in
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "upset before any run" (fun () -> Eval_packed.upset st ~flip_net:z);
+  ignore (Eval_packed.run st [| -1; -1 |]);
+  Alcotest.(check int) "upset output" 0 (Eval_packed.upset st ~flip_net:z).(0);
+  rejects "second upset without a run" (fun () -> Eval_packed.upset st ~flip_net:z);
+  ignore (Eval_packed.run st [| -1; -1 |]);
+  rejects "unknown net" (fun () -> Eval_packed.upset st ~flip_net:(Netlist.net_count nl))
 
 (* --- fingerprint --- *)
 
@@ -545,6 +578,8 @@ let () =
           Alcotest.test_case "input mismatch" `Quick test_packed_input_mismatch;
           Alcotest.test_case "net value before run" `Quick
             test_packed_net_value_before_run;
+          Alcotest.test_case "upset needs a fault-free run" `Quick
+            test_upset_needs_fault_free_run;
         ] );
       ( "fingerprint",
         [
@@ -571,5 +606,6 @@ let () =
             prop_gate_eval_total;
             prop_packed_matches_scalar;
             prop_packed_flip_matches_scalar;
+            prop_packed_upset_state_reuse;
           ] );
     ]

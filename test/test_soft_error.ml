@@ -258,22 +258,33 @@ let reports_equal (a : Fault_sim.report) (b : Fault_sim.report) =
 let test_packed_equals_scalar () =
   (* The bit-parallel engine must be a pure speedup: bit-identical
      reports on both a masked netlist and a real adder, at vector
-     counts spanning several 63-lane batches. *)
+     counts spanning several 63-lane batches, with and without early
+     termination at the batch boundaries. *)
   let nl_ao, _, _ = and_or_netlist () in
   let nl_add = Rchls_circuits.Adder_ripple.netlist ~width:4 () in
   List.iter
-    (fun vectors ->
-      let config = { Fault_sim.Campaign.default with vectors; domains = Some 1 } in
+    (fun (vectors, ci_target) ->
+      let config =
+        { Fault_sim.Campaign.default with vectors; ci_target; domains = Some 1 }
+      in
       List.iter
         (fun nl ->
           Fault_sim.Campaign.cache_clear ();
           let packed = Fault_sim.Campaign.run ~config nl in
           let scalar = Fault_sim.Campaign.run_scalar ~config nl in
+          let label = match ci_target with None -> "" | Some _ -> ", ci 0.1" in
           Alcotest.(check bool)
-            (Printf.sprintf "packed = scalar (%d vectors)" vectors)
-            true (reports_equal packed scalar))
+            (Printf.sprintf "packed = scalar (%d vectors%s)" vectors label)
+            true (reports_equal packed scalar);
+          if ci_target <> None then
+            Alcotest.(check bool)
+              (Printf.sprintf "some node stops early (%d vectors)" vectors)
+              true
+              (List.exists
+                 (fun (n : Fault_sim.node_result) -> n.injected < vectors)
+                 packed.Fault_sim.nodes))
         [ nl_ao; nl_add ])
-    [ 1; 63; 64; 130 ]
+    [ (1, None); (63, None); (64, None); (130, None); (64, Some 0.1); (130, Some 0.1) ]
 
 let test_campaign_domain_determinism () =
   (* Per-node RNG streams are split before the fan-out, so the report

@@ -75,6 +75,33 @@ let test_rng_copy () =
   let c = Rng.copy r in
   Alcotest.(check int64) "copy continues identically" (Rng.int64 r) (Rng.int64 c)
 
+(* The batched draw is the same stream as [Rng.bool], vector-major:
+   same words, same generator state after, stale words cleared. *)
+let test_rng_fill_lanes_matches_bool () =
+  for n = 0 to 40 do
+    for lanes = 0 to Sys.int_size do
+      let seed = (n * 64) + lanes in
+      let by_bool = Array.make n 0 and r = Rng.create seed in
+      for lane = 0 to lanes - 1 do
+        for i = 0 to n - 1 do
+          if Rng.bool r then by_bool.(i) <- by_bool.(i) lor (1 lsl lane)
+        done
+      done;
+      let filled = Array.make n (-1) and f = Rng.create seed in
+      Rng.fill_lanes f filled ~lanes;
+      let what = Printf.sprintf "%d words, %d lanes" n lanes in
+      Alcotest.(check (array int)) what by_bool filled;
+      Alcotest.(check int64) (what ^ ": next draw") (Rng.int64 r) (Rng.int64 f)
+    done
+  done;
+  let rejects lanes =
+    match Rng.fill_lanes (Rng.create 1) [| 0 |] ~lanes with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "rejects negative lanes" true (rejects (-1));
+  Alcotest.(check bool) "rejects lanes past the word" true (rejects (Sys.int_size + 1))
+
 (* --- Stats --- *)
 
 let test_mean () = check_float "mean" 2.5 (Stats.mean [ 1.; 2.; 3.; 4. ])
@@ -397,6 +424,8 @@ let () =
           Alcotest.test_case "bool balance" `Quick test_rng_bool_balance;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "fill_lanes = bool loop" `Quick
+            test_rng_fill_lanes_matches_bool;
         ] );
       ( "stats",
         [
